@@ -33,8 +33,9 @@ class BufferView:
     data: Sequence[int]
     elem: ScalarType
     origin: int = 0
-    #: set when ``data`` is already wrapped to ``elem`` (bank construction
-    #: pre-wraps), letting the hot stride-1 read be a plain slice
+    #: set when ``data`` is a NumPy row already wrapped to ``elem`` (what
+    #: bank construction builds): a read is one slice plus ``tolist``,
+    #: which yields exact Python ints
     prewrapped: bool = False
 
     def read(self, offset: int, lanes: int, stride: int = 1) -> tuple:
@@ -44,12 +45,10 @@ class BufferView:
             raise EvaluationError(
                 f"buffer read out of range: [{start}, {stop}) of {len(self.data)}"
             )
-        if stride == 1:
-            if self.prewrapped:
-                return tuple(self.data[start:stop])
-            return tuple(self.elem.wrap(v) for v in self.data[start:stop])
         if self.prewrapped:
-            return tuple(self.data[start + i * stride] for i in range(lanes))
+            return tuple(self.data[start:stop:stride].tolist())
+        if stride == 1:
+            return tuple(self.elem.wrap(v) for v in self.data[start:stop])
         return tuple(
             self.elem.wrap(self.data[start + i * stride]) for i in range(lanes)
         )

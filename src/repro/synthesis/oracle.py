@@ -123,8 +123,8 @@ class Oracle:
     extra_random_rounds: int = 4
     seed: int = 0
     #: evaluate candidates against the whole bank in one vectorized pass
-    #: (falls back to the scalar interpreters when NumPy is missing or an
-    #: expression cannot be batched exactly); verdicts are identical either
+    #: (falls back to the scalar interpreters when an expression cannot be
+    #: batched exactly); verdicts are identical either
     #: way, so this does not participate in cache keys
     batch_eval: bool = True
     #: deduplicate queries through observational-equivalence classes
@@ -184,8 +184,6 @@ class Oracle:
     # -- batched evaluation -------------------------------------------------
 
     def _evaluator(self):
-        if not batch_plan.HAVE_NUMPY:
-            return None
         if self._batch_evaluator is None:
             self._batch_evaluator = batch_plan.BatchedEvaluator()
         # Keep the evaluator on the oracle's tracer (it may be swapped in
@@ -195,8 +193,8 @@ class Oracle:
 
     def _fingerprinter(self):
         """The observational-equivalence index, or ``None`` when disabled
-        (``fingerprints=False``) or unbatchable (no NumPy)."""
-        if not self.fingerprints or not batch_plan.HAVE_NUMPY:
+        (``fingerprints=False``)."""
+        if not self.fingerprints:
             return None
         if self._fingerprint_index is None:
             from .fingerprints import Fingerprinter
@@ -402,8 +400,6 @@ class Oracle:
         batched exactly and the caller must run the scalar phases instead.
         """
         ev = self._evaluator()
-        if ev is None:
-            return None
         bank_data = self._bank_data(spec)
         if bank_data is None:
             return None

@@ -13,12 +13,20 @@ every buffer and scalar variable an expression reads.  The bank mixes:
 Buffers are padded generously around the live range so candidate
 implementations may read data the specification does not (e.g. a vtmpy
 window or an aligned-load pair spanning the neighbourhood).
+
+An environment is a pure function of its shapes, style and seed: one
+NumPy ``Generator`` per environment, seeded with ``crc32(style) ^ seed``,
+fills each buffer as a single array of the element's own dtype.  Banks
+are therefore identical in every process, and the batched oracle stacks
+them into int64 matrices without touching elements one by one.
 """
 
 from __future__ import annotations
 
-import random
+import zlib
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..ir import expr as ir_expr
 from ..ir import traversal
@@ -106,24 +114,47 @@ def scalar_names_of(spec) -> list[tuple[str, ScalarType]]:
     return sorted(seen.items())
 
 
-def _fill(elem: ScalarType, n: int, style: str, rng: random.Random) -> list[int]:
+def _array_dtype(elem: ScalarType) -> np.dtype:
+    """The NumPy dtype of ``elem`` itself (``uint8`` for u8, …): it holds
+    every value exactly, u64 included, in the least memory."""
+    return np.dtype(f"{'i' if elem.signed else 'u'}{elem.bits // 8}")
+
+
+def _fill(elem: ScalarType, n: int, style: str, rng: np.random.Generator):
+    """``n`` values of ``elem`` in ``style`` as a 1-D array of its dtype."""
     lo, hi = elem.min_value, elem.max_value
+    dtype = _array_dtype(elem)
     if style == "ramp":
         # Distinct small values per lane; offset keeps signed types happy.
-        return [elem.wrap(i * 3 + 1) for i in range(n)]
+        # The integer cast wraps exactly as ``elem.wrap`` does.
+        return (np.arange(n, dtype=np.int64) * 3 + 1).astype(dtype)
     if style == "zeros":
-        return [0] * n
+        return np.zeros(n, dtype=dtype)
     if style == "ones":
-        return [1] * n
+        return np.ones(n, dtype=dtype)
     if style == "max":
-        return [hi] * n
+        return np.full(n, hi, dtype=dtype)
     if style == "min":
-        return [lo] * n
+        return np.full(n, lo, dtype=dtype)
     if style == "alternate":
-        return [hi if i % 2 else lo for i in range(n)]
+        data = np.full(n, lo, dtype=dtype)
+        data[1::2] = hi
+        return data
     if style == "small_random":
-        return [rng.randint(0, min(15, hi)) for _ in range(n)]
-    return [rng.randint(lo, hi) for _ in range(n)]
+        return rng.integers(0, min(15, hi), size=n, dtype=dtype, endpoint=True)
+    return rng.integers(lo, hi, size=n, dtype=dtype, endpoint=True)
+
+
+def _style_rng(style: str, seed: int) -> np.random.Generator:
+    """The generator for one ``(style, seed)`` environment.
+
+    ``zlib.crc32`` rather than ``hash``: str hashes are salted per process
+    (``PYTHONHASHSEED``), and a bank must be the same in every process.
+    The mask keeps a negative ``seed`` legal for ``default_rng``.
+    """
+    return np.random.default_rng(
+        (zlib.crc32(style.encode()) ^ seed) & 0xFFFF_FFFF_FFFF_FFFF
+    )
 
 
 #: bank order: the ramp goes first because it catches swizzle errors fastest
@@ -142,21 +173,23 @@ def make_environment(
     style: str,
     seed: int,
 ) -> Environment:
-    """Build one valuation for the given buffer and scalar shapes."""
+    """Build one valuation for the given buffer and scalar shapes.
+
+    Each buffer is one NumPy row of the element's own dtype behind a
+    ``prewrapped`` view: reads slice it, and ``bank_arrays`` stacks the
+    rows of a bank with one cast to int64 — no per-element Python work.
+    """
     key = (tuple(buffers), tuple(scalars), style, seed)
     cached = _ENV_CACHE.get(key)
     if cached is not None:
         return cached
-    rng = random.Random((hash(style) ^ seed) & 0x7FFFFFFF)
+    rng = _style_rng(style, seed)
     views: dict[str, BufferView] = {}
     for spec in buffers:
         length = (spec.hi - spec.lo) + 2 * PAD_ELEMENTS
-        # _fill only produces in-range values, so the data is born wrapped;
-        # marking the view lets every stride-1 read be a plain slice.
-        data = _fill(spec.elem, length, style, rng)
         views[spec.name] = BufferView(
-            data=data, elem=spec.elem, origin=PAD_ELEMENTS - spec.lo,
-            prewrapped=True,
+            data=_fill(spec.elem, length, style, rng), elem=spec.elem,
+            origin=PAD_ELEMENTS - spec.lo, prewrapped=True,
         )
     scalar_vals = {}
     for name, dtype in scalars:
@@ -167,22 +200,24 @@ def make_environment(
         elif style in ("ones",):
             scalar_vals[name] = 1
         else:
-            scalar_vals[name] = rng.randint(dtype.min_value, dtype.max_value)
+            scalar_vals[name] = int(rng.integers(
+                dtype.min_value, dtype.max_value, dtype=_array_dtype(dtype),
+                endpoint=True,
+            ))
     env = Environment(buffers=views, scalars=scalar_vals)
     _ENV_CACHE[key] = env
     return env
 
 
-def environment_bank(spec, n_random_extra: int = 2, seed: int = 0) -> list[Environment]:
-    """The standard valuation bank for a specification expression.
-
-    Works for both IR and uber expressions.
-    """
-    if isinstance(spec, ir_expr.Expr):
-        buffers = buffer_specs_of(spec)
-    else:
-        buffers = uber_buffer_specs(spec)
-    scalars = scalar_names_of(spec)
+def build_bank(
+    buffers: list[BufferSpec],
+    scalars: list[tuple[str, ScalarType]],
+    n_random_extra: int,
+    seed: int,
+) -> list[Environment]:
+    """The standard bank for explicit shapes: :data:`BASE_STYLES`, then
+    ``n_random_extra`` extra random rounds.  The one definition of bank
+    order, shared by the oracle and the cross-ISA differential check."""
     envs = [
         make_environment(buffers, scalars, style, seed + i)
         for i, style in enumerate(BASE_STYLES)
@@ -190,6 +225,23 @@ def environment_bank(spec, n_random_extra: int = 2, seed: int = 0) -> list[Envir
     for i in range(n_random_extra):
         envs.append(make_environment(buffers, scalars, "random", seed + 100 + i))
     return envs
+
+
+def _spec_shapes(spec):
+    if isinstance(spec, ir_expr.Expr):
+        buffers = buffer_specs_of(spec)
+    else:
+        buffers = uber_buffer_specs(spec)
+    return buffers, scalar_names_of(spec)
+
+
+def environment_bank(spec, n_random_extra: int = 2, seed: int = 0) -> list[Environment]:
+    """The standard valuation bank for a specification expression.
+
+    Works for both IR and uber expressions.
+    """
+    buffers, scalars = _spec_shapes(spec)
+    return build_bank(buffers, scalars, n_random_extra, seed)
 
 
 def environment_zero(spec, seed: int = 0) -> Environment:
@@ -200,27 +252,23 @@ def environment_zero(spec, seed: int = 0) -> Environment:
     without paying for the other environments — the oracle's lane-0 pruning
     path uses it to avoid full bank construction.
     """
-    if isinstance(spec, ir_expr.Expr):
-        buffers = buffer_specs_of(spec)
-    else:
-        buffers = uber_buffer_specs(spec)
-    scalars = scalar_names_of(spec)
+    buffers, scalars = _spec_shapes(spec)
     return make_environment(buffers, scalars, BASE_STYLES[0], seed)
 
 
 def bank_arrays(bank: list[Environment]):
     """Materialize a valuation bank as a :class:`repro.eval.BankData`.
 
-    Returns ``None`` when NumPy is unavailable or the bank cannot be
-    stacked exactly (mismatched shapes across environments, or values that
-    do not fit int64, e.g. u64 buffers) — callers then keep the scalar
-    path, which is always exact.
+    Bank rows are already NumPy arrays, so each buffer is one ``np.stack``.
+    Returns ``None`` when the bank cannot be stacked exactly (mismatched
+    shapes across environments, views not built by :func:`make_environment`,
+    or values that do not fit int64, e.g. u64 buffers) — callers then keep
+    the scalar path, which is always exact.
     """
     from ..eval import plan as _plan
 
-    if not _plan.HAVE_NUMPY or not bank:
+    if not bank:
         return None
-    np = _plan.np
     first = bank[0]
     buffers: dict = {}
     try:
@@ -229,18 +277,16 @@ def bank_arrays(bank: list[Environment]):
             elem, origin, length = view0.elem, view0.origin, len(view0.data)
             if any(
                 v.elem != elem or v.origin != origin or len(v.data) != length
+                or not v.prewrapped
                 for v in views
             ):
                 return None
             if elem.bits > 63 and not elem.signed:
                 return None  # u64 contents may not fit int64
-            rows = []
-            for v in views:
-                if getattr(v, "prewrapped", False):
-                    rows.append(v.data)
-                else:
-                    rows.append([elem.wrap(x) for x in v.data])
-            buffers[name] = (np.array(rows, dtype=np.int64), elem, origin)
+            buffers[name] = (
+                np.stack([v.data for v in views]).astype(np.int64, copy=False),
+                elem, origin,
+            )
         scalars: dict = {}
         for name in first.scalars:
             vals = [env.scalars[name] for env in bank]
@@ -249,7 +295,7 @@ def bank_arrays(bank: list[Environment]):
             ):
                 return None
             scalars[name] = np.array(vals, dtype=np.int64)
-    except (KeyError, OverflowError):
+    except KeyError:
         return None
     return _plan.BankData(
         n_envs=len(bank), envs=list(bank), buffers=buffers, scalars=scalars
