@@ -33,7 +33,11 @@ from pathlib import Path
 
 from .. import faults
 from ..errors import CancelledError, ReproError
-from ..synthesis.engine import decode_record, default_cache_dir, encode_record
+from ..synthesis.engine import (
+    decode_lines,
+    default_cache_dir,
+    encode_record,
+)
 from ..trace.log import get_logger
 from .codec import (
     FORMAT_VERSION,
@@ -147,7 +151,7 @@ class RuleLibrary:
             faults.fire(faults.SITE_RULES_LOAD)
             if not self.path.exists():
                 return
-            text = self.path.read_text()
+            raw = self.path.read_bytes()
         except OSError:
             # Unreadable library: compile everything the slow way rather
             # than failing; the path stays writable for fresh rules.
@@ -155,10 +159,7 @@ class RuleLibrary:
             _log.warning("rule library unreadable; running without it",
                          path=str(self.path))
             return
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            rec = decode_record(line)
+        for rec in decode_lines(raw):
             rule = Rule.from_record(rec) if rec is not None else None
             if rule is None:
                 self.corrupt_lines += 1

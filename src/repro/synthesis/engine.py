@@ -38,7 +38,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import threading
+import weakref
 import zlib
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
@@ -182,6 +184,71 @@ def decode_record(line: str):
     return rec
 
 
+def decode_lines(raw: bytes):
+    """:func:`decode_record` for each non-blank line of ``raw``.
+
+    A line that is not valid UTF-8 (disk garbage such as a stray ``\\xff``)
+    yields ``None`` like any other corrupt line, instead of failing the
+    whole load.  Valid text is split exactly as ``str.splitlines`` splits
+    a file read in text mode.
+    """
+    for chunk in raw.splitlines():
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            yield None
+            continue
+        for line in text.splitlines():
+            if line.strip():
+                yield decode_record(line)
+
+
+#: The two line shapes :class:`DiskStore` writes, matched on raw bytes::
+#:
+#:     {"crc":N,"k":"<64 hex>","t":"v","v":0|1}
+#:     {"crc":N,"i":<int>,"k":"<64 hex>","t":"c"}
+#:
+#: Only the canonical text ``encode_record`` produces matches (sorted keys,
+#: compact separators, no leading zeros, lower-case hex keys).  Group 1 is
+#: the CRC and group 2 the CRC'd body after its leading ``{``; groups 3-4
+#: are a counterexample's index and key, groups 5-6 a verdict's key and
+#: value.
+_FAST_LINE = re.compile(
+    rb'\{"crc":(0|[1-9][0-9]{0,9}),((?:'
+    rb'"i":(0|-?[1-9][0-9]{0,17}),"k":"([0-9a-f]{64})","t":"c"'
+    rb'|"k":"([0-9a-f]{64})","t":"v","v":([01])'
+    rb')\})'
+)
+_CRC_OPEN_BRACE = zlib.crc32(b"{")
+
+
+def fast_record(chunk: bytes):
+    """``("v", key, verdict)`` or ``("c", key, index)`` for one line in
+    the exact shape :class:`DiskStore` writes, with its CRC checked on the
+    raw bytes; ``None`` for any other line.
+
+    Skips the JSON parse and canonical re-serialization of
+    :func:`decode_record`.  It accepts no line that :func:`decode_record`
+    rejects, and for a line both accept it gives the same record.
+    """
+    m = _FAST_LINE.fullmatch(chunk)
+    if m is None or int(m[1]) != zlib.crc32(m[2], _CRC_OPEN_BRACE):
+        return None
+    if m[5] is not None:
+        return "v", m[5].decode(), m[6] == b"1"
+    return "c", m[4].decode(), int(m[3])
+
+
+#: stores not yet garbage-collected; flushed at interpreter exit
+_LIVE_STORES: "weakref.WeakSet[DiskStore]" = weakref.WeakSet()
+
+
+@atexit.register
+def _flush_live_stores() -> None:
+    for store in list(_LIVE_STORES):
+        store.flush()
+
+
 class DiskStore:
     """Append-only JSONL store for verdicts and counterexample indices.
 
@@ -203,9 +270,11 @@ class DiskStore:
     quarantined: the damaged file moves aside to ``<path>.quarantine``
     and the surviving records are rewritten atomically, so a bad line is
     scrubbed once instead of re-skipped forever.  Writes are buffered and
-    flushed periodically, on :meth:`close` and at interpreter exit; a
-    flush that fails with ``OSError`` re-queues its records rather than
-    losing them or crashing synthesis.
+    flushed periodically, on :meth:`close`, when the store is collected
+    and at interpreter exit; a flush that fails with ``OSError`` re-queues
+    its records rather than losing them or crashing synthesis.  The exit
+    flush holds stores weakly, so a store is freed once its last user
+    drops it.
     """
 
     FLUSH_EVERY = 128
@@ -221,34 +290,50 @@ class DiskStore:
         self.write_errors = 0
         self.quarantined: Path | None = None
         self._load()
-        atexit.register(self.close)
+        _LIVE_STORES.add(self)
 
     def _load(self) -> None:
+        """Read the store, taking the fast path for canonical lines.
+
+        A line in exactly the shape :func:`encode_record` writes is matched
+        on its raw bytes and its CRC checked there, skipping the JSON parse
+        and the canonical re-serialization.  Every other line (older
+        unstamped records, damage, non-UTF-8 bytes) goes through
+        :func:`decode_record`, so the loaded maps and the corrupt-line
+        count are what a full decode of every line gives.
+        """
         try:
             faults.fire(faults.SITE_CACHE_LOAD)
             if not self.path.exists():
                 return
-            text = self.path.read_text()
+            raw = self.path.read_bytes()
         except OSError:
             self.load_errors += 1
             return
-        for line in text.splitlines():
-            if not line.strip():
+        for chunk in raw.splitlines():
+            fast = fast_record(chunk)
+            if fast is not None:
+                self._load_record(*fast)
                 continue
-            rec = decode_record(line)
-            if rec is None:
-                self.corrupt_lines += 1
-                continue
-            if rec.get("t") == "v" and "k" in rec and "v" in rec:
-                self._verdicts[rec["k"]] = bool(rec["v"])
-            elif rec.get("t") == "c" and "k" in rec and "i" in rec:
-                bucket = self._counterexamples.setdefault(rec["k"], [])
-                if rec["i"] not in bucket:
-                    bucket.append(rec["i"])
-            else:
-                self.corrupt_lines += 1
+            for rec in decode_lines(chunk):
+                if rec is None:
+                    self.corrupt_lines += 1
+                elif rec.get("t") == "v" and "k" in rec and "v" in rec:
+                    self._load_record("v", rec["k"], bool(rec["v"]))
+                elif rec.get("t") == "c" and "k" in rec and "i" in rec:
+                    self._load_record("c", rec["k"], rec["i"])
+                else:
+                    self.corrupt_lines += 1
         if self.corrupt_lines:
             self._quarantine_and_compact()
+
+    def _load_record(self, kind: str, key: str, value) -> None:
+        if kind == "v":
+            self._verdicts[key] = value
+            return
+        bucket = self._counterexamples.setdefault(key, [])
+        if value not in bucket:
+            bucket.append(value)
 
     def _quarantine_and_compact(self) -> None:
         """Move a damaged store aside and rewrite the surviving records.
@@ -352,6 +437,12 @@ class DiskStore:
 
     def close(self) -> None:
         self.flush()
+
+    def __del__(self) -> None:
+        try:
+            self.flush()
+        except Exception:
+            pass  # best-effort, like every other flush
 
 
 @dataclasses.dataclass

@@ -149,6 +149,7 @@ class Oracle:
     _bank_data_cache: dict = field(default_factory=dict)
     _spec_matrix_cache: dict = field(default_factory=dict)
     _env0_cache: dict = field(default_factory=dict)
+    _env0_data_cache: dict = field(default_factory=dict)
     _fingerprint_index: object = field(default=None, repr=False)
 
     def bank_for(self, spec) -> list:
@@ -478,6 +479,10 @@ class Oracle:
     def _check_lane0(self, spec, candidate, layout: str) -> bool:
         if result_bits(spec) != result_bits(candidate):
             return False
+        if self.batch_eval:
+            verdict = self._check_lane0_batched(spec, candidate, layout)
+            if verdict is not None:
+                return verdict
         env = self.env0_for(spec)
         try:
             got = denote(candidate, env, layout)
@@ -485,3 +490,35 @@ class Oracle:
             return False
         want = self._spec_lanes(spec, 0, env)
         return bool(got) and got[0] == want[0]
+
+    def _check_lane0_batched(self, spec, candidate, layout: str):
+        """The lane-0 check as one compiled pass over environment 0.
+
+        Same verdict as the scalar check; ``None`` when the candidate (or
+        environment) cannot be batched exactly.  The plan is memoized, so
+        a candidate that passes reuses it in its full check.  Batched and
+        fallback eval counters stay reserved for full checks.
+        """
+        ev = self._evaluator()
+        plan = ev.plan_for(candidate)
+        if plan is None:
+            return None
+        env0_data = self._env0_data(spec)
+        if env0_data is None or not batch_plan.plan_usable(plan, env0_data):
+            return None
+        try:
+            got = ev.denote_bank(plan, env0_data, layout)
+        except EvaluationError:
+            return False
+        if got.shape[1] == 0:
+            return False
+        env = env0_data.envs[0]
+        return int(got[0, 0]) == self._spec_lanes(spec, 0, env)[0]
+
+    def _env0_data(self, spec):
+        """Environment 0 as a one-row bank, or ``None`` if not exact."""
+        if spec not in self._env0_data_cache:
+            self._env0_data_cache[spec] = valuation.bank_arrays(
+                [self.env0_for(spec)]
+            )
+        return self._env0_data_cache[spec]

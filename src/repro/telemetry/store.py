@@ -28,7 +28,11 @@ import uuid
 from pathlib import Path
 
 from .. import faults
-from ..synthesis.engine import decode_record, default_cache_dir, encode_record
+from ..synthesis.engine import (
+    decode_lines,
+    default_cache_dir,
+    encode_record,
+)
 from ..trace.log import get_logger
 from .record import is_record
 
@@ -179,16 +183,13 @@ def read_store(directory: str | os.PathLike, repair: bool = True) -> ReadReport:
     report = ReadReport()
     for path in segment_files(directory):
         try:
-            text = path.read_text()
+            raw = path.read_bytes()
         except OSError:
             continue
         report.segments += 1
         survivors = []
         damaged = 0
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            rec = decode_record(line)
+        for rec in decode_lines(raw):
             if rec is None:
                 damaged += 1
                 continue

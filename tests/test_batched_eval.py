@@ -24,6 +24,7 @@ from repro.synthesis import valuation
 from repro.synthesis.oracle import (
     LAYOUT_DEINTERLEAVED,
     LAYOUT_INORDER,
+    LAYOUTS,
     Oracle,
     denote,
 )
@@ -331,6 +332,78 @@ def test_lane0_uses_env0_without_full_bank():
     # The pruning check alone never built the 10-environment bank.
     assert spec not in oracle._bank_cache
     assert oracle.env0_for(spec) == oracle.bank_for(spec)[0]
+
+
+# ---------------------------------------------------------------------------
+# Lane-0 pruning check: batched against scalar
+# ---------------------------------------------------------------------------
+
+def assert_lane0_identical(spec, cand, layout=LAYOUT_INORDER):
+    batched, scalar = Oracle(batch_eval=True), Oracle(batch_eval=False)
+    want = scalar._check_lane0(spec, cand, layout)
+    assert batched._check_lane0(spec, cand, layout) is want
+    # Lane-0 checks never count as (batched or fallback) full checks.
+    stats = batched.stats
+    assert stats.total_batched_evals == stats.total_fallback_evals == 0
+    return batched
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ir_exprs(), ir_exprs())
+def test_ir_lane0_batched_matches_scalar(spec, cand):
+    assert_lane0_identical(spec, cand)
+    assert_lane0_identical(spec, spec)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hvx_exprs(), st.sampled_from(LAYOUTS))
+def test_hvx_lane0_batched_matches_scalar(cand, layout):
+    spec = E.Add(E.Load("A", 0, HVX_LANES, U8), E.Load("B", 0, HVX_LANES, U8))
+    assert_lane0_identical(FOOTPRINT, cand, layout)
+    assert_lane0_identical(spec, cand, layout)
+
+
+def test_lane0_batched_path_runs_and_decides():
+    la, lb = E.Load("A", 0, LANES, U8), E.Load("B", 0, LANES, U8)
+    spec = E.Add(la, lb)
+    oracle = Oracle()
+    assert oracle._check_lane0_batched(spec, E.Add(lb, la),
+                                       LAYOUT_INORDER) is True
+    assert oracle._check_lane0_batched(spec, E.Sub(la, lb),
+                                       LAYOUT_INORDER) is False
+    far = E.Add(E.Load("A", 1 << 14, LANES, U8), lb)
+    assert oracle._check_lane0_batched(spec, far, LAYOUT_INORDER) is False
+    assert_lane0_identical(spec, far)
+
+
+def test_lane0_plan_compile_fault_falls_back_to_scalar():
+    from repro import faults
+    from repro.faults import FaultPlan, FaultRule
+
+    la, lb = E.Load("A", 0, LANES, U8), E.Load("B", 0, LANES, U8)
+    spec = E.Add(la, lb)
+    plan = FaultPlan(rules=[
+        FaultRule(site=faults.SITE_PLAN_COMPILE, kind="error", every=1),
+    ])
+    for cand in (E.Add(lb, la), E.Sub(la, lb)):
+        with faults.injected(plan):
+            oracle = assert_lane0_identical(spec, cand)
+            assert oracle._check_lane0_batched(
+                spec, cand, LAYOUT_INORDER) is None
+        assert oracle._evaluator().compile_errors >= 1
+
+
+def test_lane0_u64_spec_falls_back_to_scalar():
+    from repro.types import U64
+
+    la, lb = E.Load("A", 0, 8, U64), E.Load("B", 0, 8, U64)
+    spec = E.Add(la, lb)
+    for cand in (E.Add(lb, la), E.Sub(la, lb), E.Max(la, lb)):
+        oracle = assert_lane0_identical(spec, cand)
+        assert oracle._check_lane0_batched(
+            spec, cand, LAYOUT_INORDER) is None
 
 
 def test_compile_identical_with_and_without_batching():

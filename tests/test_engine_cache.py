@@ -1,23 +1,34 @@
 """Tests for the memoization layer (:mod:`repro.synthesis.engine`).
 
 Covers canonical query keying (rename-insensitive, layout/seed/tag
-sensitive), the append-only JSONL disk store, two-level verdict caching,
-and counterexample-bank persistence across Oracle instances.
+sensitive), the append-only JSONL disk store (its fast load path against
+the full decoder, and its lifetime), two-level verdict caching, and
+counterexample-bank persistence across Oracle instances.
 """
 
+import gc
 import json
+import re
+import tempfile
+import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.hvx import isa as H
 from repro.ir import builder as B
-from repro.synthesis import valuation
+from repro.synthesis import engine, valuation
 from repro.synthesis.engine import (
     CACHE_DIR_ENV,
     CACHE_FILE_NAME,
     DiskStore,
     OracleCache,
+    decode_lines,
+    decode_record,
     default_cache_dir,
+    encode_record,
+    fast_record,
     query_key,
     spec_key,
 )
@@ -349,3 +360,196 @@ class TestCacheDir:
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         cache = OracleCache.with_disk()
         assert cache.store.path == tmp_path / CACHE_FILE_NAME
+
+
+# ---------------------------------------------------------------------------
+# The store loader's fast path against the full decoder
+# ---------------------------------------------------------------------------
+
+_HEX = "0123456789abcdef"
+_store_keys = st.one_of(
+    st.text(_HEX, min_size=64, max_size=64),  # what the oracle writes
+    st.text(max_size=8),
+)
+_records = st.one_of(
+    st.builds(lambda k, v: {"t": "v", "k": k, "v": v},
+              _store_keys, st.integers(0, 1)),
+    st.builds(lambda k, i: {"t": "c", "k": k, "i": i}, _store_keys,
+              st.integers(0, 12) | st.integers(-2 ** 70, 2 ** 70)),
+)
+
+
+def _reordered(line: str, order: int) -> str:
+    rec = json.loads(line)
+    keys = list(rec)
+    keys = keys[order % len(keys):] + keys[:order % len(keys)]
+    return json.dumps({k: rec[k] for k in keys}, separators=(",", ":"))
+
+
+_MUTATIONS = (
+    "none", "flip", "truncate", "merge", "space", "reorder",
+    "zero_pad", "upper_hex", "dup_crc",
+)
+
+
+def _restamp(raw: bytes) -> bytes:
+    """Re-stamp the leading CRC over the raw text that follows it, as a
+    writer that does not canonicalize would: only the full decoder's
+    canonical re-serialization can then tell a non-canonical line."""
+    m = re.fullmatch(rb'\{"crc":[0-9]+,(.*)', raw, re.S)
+    if m is None:
+        return raw
+    return b'{"crc":%d,' % zlib.crc32(b"{" + m[1]) + m[1]
+
+
+@st.composite
+def store_lines(draw):
+    """One line as raw bytes: an encoded record, or a mutation of one,
+    optionally with its CRC re-stamped over the mutated text."""
+    line = encode_record(draw(_records))
+    kind = draw(st.sampled_from(_MUTATIONS))
+    pos = draw(st.integers(0, len(line)))
+    restamp = _restamp if draw(st.booleans()) else bytes
+    if kind == "flip":
+        data = bytearray(line.encode())
+        data[pos % len(data)] ^= draw(st.integers(1, 255))
+        return restamp(bytes(data))
+    if kind == "truncate":
+        line = line[:pos]
+    elif kind == "merge":
+        line += encode_record(draw(_records))
+    elif kind == "space":
+        line = line[:pos] + " " + line[pos:]
+    elif kind == "reorder":
+        line = _reordered(line, draw(st.integers(1, 4)))
+    elif kind == "zero_pad":
+        field = draw(st.sampled_from(["crc", "i", "v"]))
+        line = re.sub(rf'"{field}":(-?)', rf'"{field}":\g<1>0', line)
+    elif kind == "upper_hex":
+        line = re.sub(r"[0-9a-f]{64}", lambda m: m[0].upper(), line)
+    elif kind == "dup_crc":
+        crc = re.match(r'\{("crc":\d+,)', line)[1]
+        line = "{" + crc + line[1:]
+    return restamp(line.encode())
+
+
+def _slow(raw: bytes):
+    """What the full decoder makes of one line (``None``: rejected)."""
+    try:
+        return decode_record(raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        return None
+
+
+def _assert_fast_agrees(raw: bytes) -> None:
+    fast = fast_record(raw)
+    if fast is None:
+        return
+    kind, key, value = fast
+    if kind == "v":
+        assert type(value) is bool
+        assert _slow(raw) == {"t": "v", "k": key, "v": int(value)}
+    else:
+        assert _slow(raw) == {"t": "c", "k": key, "i": value}
+
+
+_KEY = "0123456789abcdef" * 4
+#: non-canonical spellings of oracle records, each CRC-stamped over its
+#: own text; the full decoder rejects all but the upper-case key
+_FORGERIES = (
+    '"i":05,"k":"%s","t":"c"}' % _KEY,
+    '"i":-0,"k":"%s","t":"c"}' % _KEY,
+    '"k":"%s","t":"v","v":01}' % _KEY,
+    '"k":"%s","t":"v","v":true}' % _KEY,
+    '"k":"%s","t":"v","v":1.0}' % _KEY,
+    '"k":"%s","t":"v","v": 1}' % _KEY,
+    '"k":"%s","v":1,"t":"v"}' % _KEY,
+    '"k":"%s","t":"v","v":1,"v":1}' % _KEY,
+    '"crc":1,"k":"%s","t":"v","v":1}' % _KEY,
+    '"k":"%s","t":"v","v":1}' % _KEY.upper(),
+)
+
+
+class TestFastStoreDecoder:
+    @settings(max_examples=600, deadline=None)
+    @given(store_lines())
+    def test_fast_path_never_disagrees_with_decode_record(self, raw):
+        _assert_fast_agrees(raw)
+
+    @pytest.mark.parametrize("body", _FORGERIES)
+    def test_restamped_non_canonical_lines(self, body):
+        _assert_fast_agrees(_restamp(b'{"crc":0,' + body.encode()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_records)
+    def test_canonical_oracle_records_take_the_fast_path(self, rec):
+        raw = encode_record(rec).encode()
+        if not re.fullmatch("[0-9a-f]{64}", rec["k"]) or not (
+            -10 ** 17 < rec.get("i", 0) < 10 ** 17
+        ):
+            return  # outside the two shapes the oracle writes
+        value = bool(rec["v"]) if rec["t"] == "v" else rec["i"]
+        assert fast_record(raw) == (rec["t"], rec["k"], value)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(store_lines(), max_size=12))
+    def test_store_load_matches_decoding_every_line(self, lines):
+        raw = b"\n".join(lines) + b"\n"
+        verdicts, counterexamples, corrupt = {}, {}, 0
+        for rec in decode_lines(raw):
+            if rec is None:
+                corrupt += 1
+            elif rec.get("t") == "v" and "k" in rec and "v" in rec:
+                verdicts[rec["k"]] = bool(rec["v"])
+            elif rec.get("t") == "c" and "k" in rec and "i" in rec:
+                bucket = counterexamples.setdefault(rec["k"], [])
+                if rec["i"] not in bucket:
+                    bucket.append(rec["i"])
+            else:
+                corrupt += 1
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / CACHE_FILE_NAME
+            path.write_bytes(raw)
+            store = DiskStore(path)
+            assert store.corrupt_lines == corrupt
+            assert store._verdicts == verdicts
+            assert store._counterexamples == counterexamples
+            assert (store.quarantined is not None) == (corrupt > 0)
+
+
+class TestStoreLifetime:
+    def test_compile_leaves_no_store_alive_and_everything_on_disk(
+        self, tmp_path
+    ):
+        from repro.pipeline import compile_pipeline
+        from repro.synthesis.stats import SynthesisStats
+        from repro.workloads.base import get
+
+        compile_pipeline(get("mul").build(), backend="rake",
+                         cache_dir=str(tmp_path))
+        gc.collect()
+        live = [o for o in gc.get_objects()
+                if isinstance(o, DiskStore) and o.path.parent == tmp_path]
+        assert live == []
+        warm = SynthesisStats()
+        compile_pipeline(get("mul").build(), backend="rake", stats=warm,
+                         cache_dir=str(tmp_path))
+        assert warm.total_cache_misses == 0
+        assert warm.total_cache_hits > 0
+
+    def test_dropped_store_flushes_pending_records(self, tmp_path):
+        path = tmp_path / CACHE_FILE_NAME
+        store = DiskStore(path)
+        store.put_verdict("k", True)
+        del store
+        gc.collect()
+        assert DiskStore(path).get_verdict("k") is True
+
+    def test_exit_flush_reaches_open_stores(self, tmp_path):
+        path = tmp_path / CACHE_FILE_NAME
+        store = DiskStore(path)
+        store.add_counterexample("s", 3)
+        assert store in engine._LIVE_STORES
+        engine._flush_live_stores()
+        assert DiskStore(path).counterexample_indices("s") == [3]

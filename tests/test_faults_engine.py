@@ -201,6 +201,35 @@ class TestDiskStoreResilience:
         for line in path.read_text().splitlines():
             assert decode_record(line) is not None
 
+    def test_non_utf8_line_is_quarantined(self, tmp_path):
+        path = tmp_path / "oracle.jsonl"
+        self.write_store(path, {"a": True, "b": False})
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe disk garbage\n")
+        store = DiskStore(path)
+        assert store.corrupt_lines == 1
+        assert store.get_verdict("a") is True
+        assert store.get_verdict("b") is False
+        assert store.quarantined is not None and store.quarantined.exists()
+        for line in path.read_text().splitlines():
+            assert decode_record(line) is not None
+
+    def test_compile_survives_non_utf8_store(self, tmp_path):
+        from repro.pipeline import compile_pipeline
+        from repro.synthesis.stats import SynthesisStats
+        from repro.workloads.base import get
+
+        compile_pipeline(get("mul").build(), backend="rake",
+                         cache_dir=str(tmp_path))
+        with open(tmp_path / "oracle.jsonl", "ab") as fh:
+            fh.write(b"\xff\n")
+        warm = SynthesisStats()
+        compile_pipeline(get("mul").build(), backend="rake", stats=warm,
+                         cache_dir=str(tmp_path))
+        assert (tmp_path / "oracle.jsonl.quarantine").exists()
+        assert warm.total_cache_misses == 0
+        assert warm.total_cache_hits > 0
+
     def test_torn_tail_line_is_dropped(self, tmp_path):
         path = tmp_path / "oracle.jsonl"
         self.write_store(path, {"a": True})

@@ -251,6 +251,26 @@ def test_corrupt_lines_are_quarantined_and_compacted(tmp_path):
     assert len(clean) == 1
 
 
+def test_non_utf8_line_is_quarantined(tmp_path):
+    path = rules_file(tmp_path, "hvx")
+    spec = workload_specs("mul")[0]
+    program = RakeSelector().select(spec).program
+    library = RuleLibrary(path)
+    library.learn(spec, program)
+    library.flush()
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\n")
+    reloaded = RuleLibrary(path)
+    assert reloaded.corrupt_lines == 1
+    assert reloaded.quarantined is not None and reloaded.quarantined.exists()
+    assert len(reloaded) == 1
+    compiled = compile_pipeline(get("mul").build(), backend="rake",
+                                rules=reloaded)
+    assert compiled.rule_hits >= 1
+    plain = compile_pipeline(get("mul").build(), backend="rake")
+    assert _selection(compiled) == _selection(plain)
+
+
 def test_rules_load_fault_degrades_to_empty_library(tmp_path):
     path = rules_file(tmp_path, "hvx")
     spec = workload_specs("mul")[0]

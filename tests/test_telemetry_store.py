@@ -112,6 +112,22 @@ class TestStore:
         assert again.corrupt_lines == 0
         assert len(again.records) == 2
 
+    def test_non_utf8_line_quarantined(self, tmp_path):
+        from repro.cli import main
+
+        store = TelemetryStore(tmp_path)
+        emit(store, make_record())
+        with open(store.segment, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        emit(store, make_record(workload="add"))
+
+        report = read_store(tmp_path, repair=True)
+        assert report.corrupt_lines == 1
+        assert len(report.records) == 2
+        assert len(report.quarantined) == 1
+        assert report.quarantined[0].exists()
+        assert main(["perf", "report", str(tmp_path)]) == 0
+
     def test_repair_false_leaves_segment_untouched(self, tmp_path):
         store = TelemetryStore(tmp_path)
         emit(store, make_record())
